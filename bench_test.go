@@ -239,7 +239,7 @@ func BenchmarkRuntimeFailureRecovery(b *testing.B) {
 			Program:      rep.Program,
 			Nproc:        4,
 			DisableTrace: true,
-			Failures:     []sim.Failure{{Proc: 1, AfterEvents: 20}},
+			Crashes:      []sim.Crash{{Proc: 1, AfterEvents: 20}},
 			Timeout:      20 * time.Second,
 		})
 		if err != nil {

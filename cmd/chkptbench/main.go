@@ -402,7 +402,7 @@ func runDomino(stdout, stderr io.Writer, workers int, o obs.Observer) int {
 			Nproc:        n,
 			Input:        input,
 			Hooks:        protocol.Uncoordinated(interval),
-			Failures:     []sim.Failure{{Proc: victim, AfterEvents: 14}},
+			Crashes:      []sim.Crash{{Proc: victim, AfterEvents: 14}},
 			Recover:      recovery.LatestConsistent,
 			DisableTrace: true,
 			Observer:     o,

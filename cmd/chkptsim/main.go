@@ -75,7 +75,8 @@ import (
 	"repro/internal/zigzag"
 )
 
-type failureList []sim.Failure
+// failureList collects -fail flags; the k-th applies to incarnation k.
+type failureList []sim.Crash
 
 func (f *failureList) String() string { return fmt.Sprint(*f) }
 
@@ -92,7 +93,7 @@ func (f *failureList) Set(v string) error {
 	if err != nil {
 		return err
 	}
-	*f = append(*f, sim.Failure{Proc: proc, AfterEvents: events})
+	*f = append(*f, sim.Crash{Inc: len(*f), Proc: proc, AfterEvents: events})
 	return nil
 }
 
@@ -204,11 +205,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	cfg := sim.Config{
-		Program:  prog,
-		Nproc:    *nproc,
-		Failures: failures,
-		NoPrune:  *noPrune,
-		Input:    func(rank, i int) int { return rank + i },
+		Program: prog,
+		Nproc:   *nproc,
+		Crashes: failures,
+		NoPrune: *noPrune,
+		Input:   func(rank, i int) int { return rank + i },
 	}
 	if *virtual {
 		tm := sim.PaperTimeModel
@@ -342,9 +343,9 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		cfg.Store = chaosStore
 	}
 	if *crashRate > 0 {
-		cfg.Crashes = chaos.CrashSchedule(*chaosSeed, chaos.ScheduleConfig{
+		cfg.Crashes = append(cfg.Crashes, chaos.CrashSchedule(*chaosSeed, chaos.ScheduleConfig{
 			Nproc: *nproc, Lambda: *crashRate, MaxIncarnations: 3,
-		})
+		})...)
 	}
 	var netChaos *chaos.Network
 	if *dropRate > 0 || *dupRate > 0 || *reorderRt > 0 || *partitions != "" {
@@ -366,7 +367,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		// Storage faults crash processes beyond the scheduled failures, and
 		// partitions can trigger repeated heartbeat suspicions; leave
 		// recovery generous headroom.
-		cfg.MaxRestarts = len(cfg.Failures) + len(cfg.Crashes) + 25
+		cfg.MaxRestarts = len(cfg.Crashes) + 25
 	}
 	switch *protoName {
 	case "appl":

@@ -83,9 +83,9 @@ func main() {
 		log.Fatal(err)
 	}
 	crashed, err := sim.Run(sim.Config{
-		Program:  rep.Program,
-		Nproc:    n,
-		Failures: []sim.Failure{{Proc: 3, AfterEvents: 3}},
+		Program: rep.Program,
+		Nproc:   n,
+		Crashes: []sim.Crash{{Proc: 3, AfterEvents: 3}},
 	})
 	if err != nil {
 		log.Fatal(err)

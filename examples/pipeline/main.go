@@ -37,10 +37,10 @@ func main() {
 	crashed, err := sim.Run(sim.Config{
 		Program: rep.Program,
 		Nproc:   n,
-		Failures: []sim.Failure{
-			{Proc: 1, AfterEvents: 15},
-			{Proc: 4, AfterEvents: 10},
-			{Proc: 0, AfterEvents: 5},
+		Crashes: []sim.Crash{
+			{Inc: 0, Proc: 1, AfterEvents: 15},
+			{Inc: 1, Proc: 4, AfterEvents: 10},
+			{Inc: 2, Proc: 0, AfterEvents: 5},
 		},
 	})
 	if err != nil {

@@ -65,9 +65,9 @@ func main() {
 
 	// Execute on 4 processes with a crash after 20 events on rank 2.
 	res, err := sim.Run(sim.Config{
-		Program:  rep.Program,
-		Nproc:    4,
-		Failures: []sim.Failure{{Proc: 2, AfterEvents: 20}},
+		Program: rep.Program,
+		Nproc:   4,
+		Crashes: []sim.Crash{{Proc: 2, AfterEvents: 20}},
 	})
 	if err != nil {
 		log.Fatal(err)

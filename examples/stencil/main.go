@@ -68,9 +68,9 @@ func main() {
 		stats.Total, stats.Useless)
 
 	crashed, err := sim.Run(sim.Config{
-		Program:  rep.Program,
-		Nproc:    n,
-		Failures: []sim.Failure{{Proc: 4, AfterEvents: 25}}, // grid center
+		Program: rep.Program,
+		Nproc:   n,
+		Crashes: []sim.Crash{{Proc: 4, AfterEvents: 25}}, // grid center
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -21,12 +21,6 @@ type WALRates struct {
 	FlipRate float64
 }
 
-// DefaultWALRates spreads one knob: crashes at the full rate, flips at
-// half, mirroring DefaultRates' split between loud and silent faults.
-func DefaultWALRates(rate float64) WALRates {
-	return WALRates{CrashRate: rate, FlipRate: rate / 2}
-}
-
 // WALStats counts the faults a WALInjector injected.
 type WALStats struct {
 	Kills     int64 // crash points fired (the store is dead after the first)

@@ -409,12 +409,11 @@ func (e *Engine) runJob(jobID int, jobSeed int64, tenant string, business bool) 
 		Cancel:   e.cancelJobs,
 		Observer: cfg.Observer,
 		Counters: cfg.Counters,
-		Retry:    &sim.RetryPolicy{},
 	}
 	if b := e.budgets[tenant]; b != nil {
 		// Assigned only when present: a nil *RetryBudget boxed into the
 		// interface would pass the retry layer's nil check and panic.
-		sc.Retry.Budget = b
+		sc.RetryBudget = b
 	}
 	restarts := 1
 	if cfg.CrashLambda > 0 {

@@ -351,11 +351,6 @@ func (x *Extended) addMessage(s, r int) {
 	x.msgFrom[s] = append(x.msgFrom[s], r)
 }
 
-// MessagesFrom returns the receive nodes matched with send node s.
-func (x *Extended) MessagesFrom(s int) []int {
-	return append([]int(nil), x.msgFrom[s]...)
-}
-
 // MessageEdgesAsCFG converts the message edges to cfg.Edge values for DOT
 // rendering.
 func (x *Extended) MessageEdgesAsCFG() []cfg.Edge {

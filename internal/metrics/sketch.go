@@ -20,7 +20,6 @@ import (
 type Sketch struct {
 	bounds []float64 // ascending upper bounds
 	counts []atomic.Int64
-	count  atomic.Int64
 	sum    atomic.Uint64 // float64 bits
 	min    atomic.Uint64 // float64 bits, +Inf when empty
 	max    atomic.Uint64 // float64 bits, -Inf when empty
@@ -65,7 +64,6 @@ func NewSketch(bounds ...float64) *Sketch {
 func (s *Sketch) Observe(v float64) {
 	i := sort.SearchFloat64s(s.bounds, v)
 	s.counts[i].Add(1)
-	s.count.Add(1)
 	addFloat(&s.sum, v)
 	minFloat(&s.min, v)
 	maxFloat(&s.max, v)
@@ -103,19 +101,20 @@ func maxFloat(a *atomic.Uint64, v float64) {
 }
 
 // Snapshot returns a copy of the sketch state. Concurrent observers may
-// land between field reads (same caveat as Counters.Snapshot); each field
-// is individually exact.
+// land between field reads (same caveat as Counters.Snapshot), but Count is
+// the sum of the loaded bucket counts, so the cumulative CDF never exceeds
+// the total an exposition prints as +Inf and _count.
 func (s *Sketch) Snapshot() SketchSnapshot {
 	out := SketchSnapshot{
 		Bounds: append([]float64(nil), s.bounds...),
 		Counts: make([]int64, len(s.counts)),
-		Count:  s.count.Load(),
 		Sum:    math.Float64frombits(s.sum.Load()),
 		Min:    math.Float64frombits(s.min.Load()),
 		Max:    math.Float64frombits(s.max.Load()),
 	}
 	for i := range s.counts {
 		out.Counts[i] = s.counts[i].Load()
+		out.Count += out.Counts[i]
 	}
 	return out
 }
@@ -133,7 +132,6 @@ func (s *Sketch) Merge(o SketchSnapshot) error {
 	for i, c := range o.Counts {
 		s.counts[i].Add(c)
 	}
-	s.count.Add(o.Count)
 	addFloat(&s.sum, o.Sum)
 	if o.Count > 0 {
 		minFloat(&s.min, o.Min)
@@ -147,7 +145,6 @@ func (s *Sketch) Reset() {
 	for i := range s.counts {
 		s.counts[i].Store(0)
 	}
-	s.count.Store(0)
 	s.sum.Store(0)
 	s.min.Store(math.Float64bits(math.Inf(1)))
 	s.max.Store(math.Float64bits(math.Inf(-1)))

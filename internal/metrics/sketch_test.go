@@ -117,6 +117,43 @@ func TestSketchConcurrent(t *testing.T) {
 	}
 }
 
+// TestSketchSnapshotConsistentUnderObserve snapshots while writers observe:
+// every snapshot's Count must equal the sum of its bucket counts, or an
+// exposition could print a cumulative bucket above +Inf/_count.
+func TestSketchSnapshotConsistentUnderObserve(t *testing.T) {
+	s := NewSketch()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				s.Observe(float64(g*100+i%100) + 0.5)
+			}
+		}(g)
+	}
+	for k := 0; k < 2000; k++ {
+		snap := s.Snapshot()
+		var sum int64
+		for _, c := range snap.Counts {
+			sum += c
+		}
+		if snap.Count != sum {
+			close(stop)
+			wg.Wait()
+			t.Fatalf("snapshot %d: Count = %d, bucket sum = %d", k, snap.Count, sum)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
 func TestSketchFromHist(t *testing.T) {
 	h := NewHistogram()
 	for i := 1; i <= 100; i++ {

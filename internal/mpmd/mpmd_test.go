@@ -134,10 +134,10 @@ func TestMergedProgramTransformsAndRuns(t *testing.T) {
 	// And it survives a worker crash.
 	clean := res.FinalVars
 	crashed, err := sim.Run(sim.Config{
-		Program:  rep.Program,
-		Nproc:    4,
-		Failures: []sim.Failure{{Proc: 2, AfterEvents: 3}},
-		Timeout:  20 * time.Second,
+		Program: rep.Program,
+		Nproc:   4,
+		Crashes: []sim.Crash{{Proc: 2, AfterEvents: 3}},
+		Timeout: 20 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("crash run: %v", err)

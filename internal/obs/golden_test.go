@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
@@ -20,8 +19,8 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // staged producer/consumer workload — under virtual time and returns the
 // canonical JSONL event stream. Everything in the run is deterministic
 // (program, inputs, virtual clock, per-process local order), so the bytes
-// must be identical on every execution; the wall clock is pinned to zero
-// to keep it that way.
+// must be identical on every execution; wall-clock stamps and measured
+// durations are zeroed to keep it that way.
 func pipelineEvents(t *testing.T) []byte {
 	t.Helper()
 	rep, err := core.Transform(corpus.PipelineStages(2), core.DefaultConfig)
@@ -31,13 +30,11 @@ func pipelineEvents(t *testing.T) []byte {
 	rec := obs.NewRecorder()
 	rec.Now = func() int64 { return 0 }
 	tm := sim.PaperTimeModel
-	epoch := time.Unix(0, 0)
 	if _, err := sim.Run(sim.Config{
-		Program:   rep.Program,
-		Nproc:     4,
-		Time:      &tm,
-		Observer:  rec,
-		WallClock: func() time.Time { return epoch }, // durations pin to 0
+		Program:  rep.Program,
+		Nproc:    4,
+		Time:     &tm,
+		Observer: zeroDurations{rec},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -46,6 +43,15 @@ func pipelineEvents(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// zeroDurations forwards events with DurNS cleared: wall-clock durations
+// vary run to run and have no place in a canonical stream.
+type zeroDurations struct{ next obs.Observer }
+
+func (z zeroDurations) OnEvent(e obs.Event) {
+	e.DurNS = 0
+	z.next.OnEvent(e)
 }
 
 // TestPipelineEventStreamGolden pins the observer's JSONL schema and event

@@ -196,11 +196,11 @@ func TestUncoordinatedTimerDomino(t *testing.T) {
 	// beyond the newest checkpoints measure the domino effect.
 	clean := run(t, sim.Config{Program: corpus.JacobiFig1(4), Nproc: 4})
 	res := run(t, sim.Config{
-		Program:  corpus.JacobiFig1(4),
-		Nproc:    4,
-		Hooks:    Uncoordinated(5),
-		Failures: []sim.Failure{{Proc: 2, AfterEvents: 18}},
-		Recover:  recovery.LatestConsistent,
+		Program: corpus.JacobiFig1(4),
+		Nproc:   4,
+		Hooks:   Uncoordinated(5),
+		Crashes: []sim.Crash{{Proc: 2, AfterEvents: 18}},
+		Recover: recovery.LatestConsistent,
 	})
 	if res.Restarts != 1 {
 		t.Fatalf("restarts = %d, want 1", res.Restarts)

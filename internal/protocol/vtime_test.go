@@ -93,8 +93,8 @@ func TestVFailureWithProtocolFreeScheme(t *testing.T) {
 	}
 	failed, err := sim.Run(sim.Config{
 		Program: prog, Nproc: 3, Time: &tm,
-		VFailures: []sim.VFailure{{Proc: 1, At: clean.VTime * 0.6}},
-		Timeout:   20 * time.Second,
+		Crashes: []sim.Crash{{Proc: 1, At: clean.VTime * 0.6}},
+		Timeout: 20 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

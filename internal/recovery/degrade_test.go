@@ -96,6 +96,12 @@ func TestStraightCutAllCorruptReportsNoRecoveryLine(t *testing.T) {
 	if !errors.Is(err, ErrNoRecoveryLine) {
 		t.Fatalf("err = %v, want ErrNoRecoveryLine (bottom of the degradation ladder)", err)
 	}
+	// The skipped candidate still counts: the runtime reports it as a
+	// degraded recovery, not a clean restart.
+	var de *DegradedError
+	if !errors.As(err, &de) || de.Degraded != 1 {
+		t.Fatalf("err = %#v, want *DegradedError with Degraded 1", err)
+	}
 }
 
 func TestStraightCutCleanStoreReportsNoDegradation(t *testing.T) {

@@ -28,6 +28,18 @@ import (
 // application must restart from its initial state.
 var ErrNoRecoveryLine = errors.New("recovery: no recovery line available")
 
+// DegradedError is the bottom rung of the degradation ladder: storage
+// holds checkpoints, but no candidate cut loaded, so the application must
+// restart from its initial state. It matches ErrNoRecoveryLine under
+// errors.Is; Degraded counts the skipped candidates as Line.Degraded would.
+type DegradedError struct{ Degraded int }
+
+func (e *DegradedError) Error() string {
+	return fmt.Sprintf("%v: %d candidate cut(s) failed to load", ErrNoRecoveryLine, e.Degraded)
+}
+
+func (e *DegradedError) Unwrap() error { return ErrNoRecoveryLine }
+
 // ErrInconsistentCut reports that a cut expected to be consistent is not —
 // for straight cuts this would falsify Theorem 3.2 for the given program.
 var ErrInconsistentCut = errors.New("recovery: straight cut is not consistent")
@@ -83,9 +95,9 @@ const maxInstanceProbe = 32
 // older instance of the same index, then older indexes — is probed
 // instead. Every skipped candidate is counted in Line.Degraded so callers
 // can report how far recovery fell below the best cut storage claimed to
-// hold. Only when no candidate loads at all does StraightCut return
-// ErrNoRecoveryLine, telling the runtime to restart from the initial
-// state — the bottom of the degradation ladder.
+// hold. Only when no candidate loads at all does StraightCut return a
+// *DegradedError (an ErrNoRecoveryLine), telling the runtime to restart
+// from the initial state — the bottom of the degradation ladder.
 func StraightCut(st storage.Store, n int) (*Line, error) {
 	indexes, err := st.Indexes(n)
 	if err != nil {
@@ -159,7 +171,7 @@ func StraightCut(st storage.Store, n int) (*Line, error) {
 		}
 	}
 	if best == nil {
-		return nil, fmt.Errorf("%w: %d candidate cut(s) failed to load", ErrNoRecoveryLine, degraded)
+		return nil, &DegradedError{Degraded: degraded}
 	}
 	if i, j, ok := consistent(best); !ok {
 		return nil, fmt.Errorf("%w: C_{p%d,i%d}#%d happened before C_{p%d,i%d}#%d",

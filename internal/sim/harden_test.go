@@ -4,12 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
@@ -48,13 +51,13 @@ func TestRetryRecoversTransientSaveFaults(t *testing.T) {
 func TestExhaustedSaveBecomesCrashAndRecovers(t *testing.T) {
 	p := corpus.JacobiFig1(4)
 	clean := runOK(t, p, 4)
-	// Retry disabled: every injected fault immediately exhausts its save,
-	// which must surface as a process crash followed by ordinary recovery —
-	// never as a failed run.
+	// Every retry denied: each injected fault immediately exhausts its
+	// save, which must surface as a process crash followed by ordinary
+	// recovery — never as a failed run.
 	flaky := &flakyStore{Store: storage.NewMemory(), fails: 2}
 	res := runOK(t, p, 4, func(c *Config) {
 		c.Store = flaky
-		c.MaxStoreAttempts = 1
+		c.RetryBudget = &fixedBudget{}
 		c.MaxRestarts = 5
 	})
 	if res.Restarts < 1 {
@@ -152,36 +155,114 @@ func TestCrashDuringRecoveryConverges(t *testing.T) {
 	}
 }
 
-func TestCrashCombinesWithPositionalFailures(t *testing.T) {
+// corruptReads serves every checkpoint as corrupt: a crash can then only
+// recover from the initial state.
+type corruptReads struct{ storage.Store }
+
+func (c corruptReads) Get(proc, idx, inst int) (storage.Snapshot, error) {
+	return storage.Snapshot{}, fmt.Errorf("%w: rotted", storage.ErrCorrupt)
+}
+
+func (c corruptReads) Latest(proc, idx int) (storage.Snapshot, error) {
+	return storage.Snapshot{}, fmt.Errorf("%w: rotted", storage.ErrCorrupt)
+}
+
+// TestRestartFromScratchCountsDegradation pins the bottom rung of the
+// degradation ladder: when no saved cut loads, the restart from the
+// initial state is still reported as a degraded recovery.
+func TestRestartFromScratchCountsDegradation(t *testing.T) {
 	p := corpus.JacobiFig1(4)
 	clean := runOK(t, p, 4)
-	// A Crash and a Failures entry name the same process in the same
-	// incarnation: the earlier trigger (AfterEvents 4) must win.
+	rec := obs.NewRecorder()
 	res := runOK(t, p, 4, func(c *Config) {
-		c.Failures = []Failure{{Proc: 1, AfterEvents: 20}}
-		c.Crashes = []Crash{{Inc: 0, Proc: 1, AfterEvents: 4}}
+		c.Store = corruptReads{storage.NewMemory()}
+		c.Crashes = []Crash{{Proc: 1, AfterEvents: 20}}
+		c.Observer = rec
 	})
-	if res.Restarts != 1 {
-		t.Fatalf("restarts = %d, want 1", res.Restarts)
+	if res.Restarts != 1 || res.RolledBack != 0 {
+		t.Fatalf("restarts = %d, rolled back = %d, want one restart from scratch", res.Restarts, res.RolledBack)
+	}
+	if got := res.Metrics.Custom[MetricRecoveryDegraded]; got < 1 {
+		t.Errorf("%s = %d, want >= 1", MetricRecoveryDegraded, got)
+	}
+	degradedEvents := 0
+	for _, e := range rec.Events() {
+		if e.Kind == obs.KindDegraded {
+			degradedEvents++
+		}
+	}
+	if degradedEvents != 1 {
+		t.Errorf("%d degraded events, want 1", degradedEvents)
 	}
 	if !reflect.DeepEqual(clean.FinalVars, res.FinalVars) {
-		t.Errorf("combined-schedule run diverged: %v vs %v", clean.FinalVars, res.FinalVars)
+		t.Errorf("run diverged: %v vs %v", clean.FinalVars, res.FinalVars)
 	}
 }
 
-func TestCrashValidation(t *testing.T) {
-	p := corpus.JacobiFig1(3)
-	if _, err := Run(Config{
-		Program: p, Nproc: 3, Timeout: 5 * time.Second,
-		Crashes: []Crash{{Inc: 0, Proc: 7, AfterEvents: 1}},
-	}); err == nil {
-		t.Error("out-of-range crash proc accepted")
+// rollbackLabels records the Label of every rollback event: the error
+// that crashed the incarnation.
+type rollbackLabels struct {
+	mu     sync.Mutex
+	labels []string
+}
+
+func (r *rollbackLabels) OnEvent(e obs.Event) {
+	if e.Kind != obs.KindRollback {
+		return
 	}
-	if _, err := Run(Config{
-		Program: p, Nproc: 3, Timeout: 5 * time.Second,
-		VCrashes: []VCrash{{Inc: 0, Proc: 1, At: 1}},
-	}); err == nil {
-		t.Error("VCrashes without Config.Time accepted")
+	r.mu.Lock()
+	r.labels = append(r.labels, e.Label)
+	r.mu.Unlock()
+}
+
+func TestCrashValidation(t *testing.T) {
+	p := corpus.JacobiFig1(4)
+	clean := runOK(t, p, 3)
+	tm := &TimeModel{Compute: 1}
+	tests := []struct {
+		name    string
+		crashes []Crash
+		time    *TimeModel
+		// wantErr is a substring of Run's error; empty means the run must
+		// recover once from a crash whose label contains wantCrash.
+		wantErr, wantCrash string
+	}{
+		{name: "proc out of range", crashes: []Crash{{Proc: 7, AfterEvents: 1}},
+			wantErr: "process 7 of 3"},
+		{name: "negative inc", crashes: []Crash{{Inc: -1, Proc: 1, AfterEvents: 1}},
+			wantErr: "incarnation -1"},
+		{name: "negative trigger", crashes: []Crash{{Proc: 1, AfterEvents: -3}},
+			wantErr: "negative trigger"},
+		{name: "At without Time", crashes: []Crash{{Proc: 1, At: 1}},
+			wantErr: "requires Config.Time"},
+		{name: "At with AfterEvents", crashes: []Crash{{Proc: 1, AfterEvents: 4, At: 1}}, time: tm,
+			wantErr: "both At and AfterEvents"},
+		{name: "earliest trigger wins", crashes: []Crash{{Proc: 1, AfterEvents: 20}, {Proc: 1, AfterEvents: 4}},
+			wantCrash: "process 1 after 4 events"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			rec := &rollbackLabels{}
+			res, err := Run(Config{
+				Program: p, Nproc: 3, Time: tt.time, Crashes: tt.crashes,
+				Observer: rec, Timeout: 5 * time.Second,
+			})
+			if tt.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tt.wantErr) {
+					t.Fatalf("err = %v, want one containing %q", err, tt.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Restarts != 1 || len(rec.labels) != 1 || !strings.Contains(rec.labels[0], tt.wantCrash) {
+				t.Fatalf("restarts = %d, rollbacks = %q, want one containing %q", res.Restarts, rec.labels, tt.wantCrash)
+			}
+			if !reflect.DeepEqual(clean.FinalVars, res.FinalVars) {
+				t.Errorf("run diverged: %v vs %v", clean.FinalVars, res.FinalVars)
+			}
+		})
 	}
 }
 
@@ -189,7 +270,7 @@ func TestRetryExhaustionOnReadIsNotMaskedAsCrash(t *testing.T) {
 	// Only checkpoint SAVES convert exhaustion into a crash; transient
 	// exhaustion elsewhere still surfaces the typed error to the caller.
 	inner := storage.NewMemory()
-	rst := newRetryStore(&alwaysTransient{inner}, RetryPolicy{MaxAttempts: 3}, 1, &metrics.Counters{}, nil)
+	rst := newRetryStore(&alwaysTransient{inner}, retryPolicy{MaxAttempts: 3}, 1, &metrics.Counters{}, nil)
 	if _, err := rst.Latest(0, 1); !errors.Is(err, storage.ErrTransient) {
 		t.Fatalf("err = %v, want wrapped ErrTransient", err)
 	}

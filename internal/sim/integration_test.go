@@ -33,7 +33,7 @@ func TestFileBackedStoreRecovery(t *testing.T) {
 	clean := runOK(t, p, 4)
 	failed := runOK(t, p, 4, func(c *Config) {
 		c.Store = st
-		c.Failures = []Failure{{Proc: 2, AfterEvents: 20}}
+		c.Crashes = []Crash{{Proc: 2, AfterEvents: 20}}
 	})
 	if failed.Restarts != 1 {
 		t.Fatalf("restarts = %d", failed.Restarts)
@@ -61,7 +61,7 @@ func TestIncrementalStoreRecovery(t *testing.T) {
 		inc := storage.NewIncremental(fullEvery)
 		failed := runOK(t, p, 4, func(c *Config) {
 			c.Store = inc
-			c.Failures = []Failure{{Proc: 2, AfterEvents: 20}}
+			c.Crashes = []Crash{{Proc: 2, AfterEvents: 20}}
 		})
 		if failed.Restarts != 1 {
 			t.Fatalf("fullEvery=%d: restarts = %d", fullEvery, failed.Restarts)
@@ -146,10 +146,10 @@ func TestFailureAtEveryPoint(t *testing.T) {
 	for victim := 0; victim < 3; victim++ {
 		for after := 1; after <= maxEvents; after += 3 {
 			failed, err := Run(Config{
-				Program:  rep.Program,
-				Nproc:    3,
-				Failures: []Failure{{Proc: victim, AfterEvents: after}},
-				Timeout:  20 * time.Second,
+				Program: rep.Program,
+				Nproc:   3,
+				Crashes: []Crash{{Proc: victim, AfterEvents: after}},
+				Timeout: 20 * time.Second,
 			})
 			if err != nil {
 				t.Fatalf("victim %d after %d: %v", victim, after, err)
@@ -239,7 +239,7 @@ func TestRollbackPruningAndRegeneration(t *testing.T) {
 	p := corpus.JacobiFig1(4)
 	clean := runOK(t, p, 3)
 	failed := runOK(t, p, 3, func(c *Config) {
-		c.Failures = []Failure{{Proc: 0, AfterEvents: 18}}
+		c.Crashes = []Crash{{Proc: 0, AfterEvents: 18}}
 	})
 	// After recovery and replay, both stores hold the same number of
 	// checkpoints per process (replay regenerated the pruned ones).
@@ -306,7 +306,7 @@ proc {
 }
 `
 	p := mustParseProg(t, src)
-	_, err := Run(Config{Program: p, Nproc: 1, MaxSteps: 1000, Timeout: 5 * time.Second})
+	_, err := Run(Config{Program: p, Nproc: 1, Timeout: 5 * time.Second})
 	if err == nil {
 		t.Fatal("infinite loop not stopped")
 	}

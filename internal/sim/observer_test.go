@@ -75,7 +75,7 @@ func TestObserverSpansIncarnations(t *testing.T) {
 	res, err := sim.Run(sim.Config{
 		Program:  corpus.JacobiFig1(3),
 		Nproc:    4,
-		Failures: []sim.Failure{{Proc: 1, AfterEvents: 8}},
+		Crashes:  []sim.Crash{{Proc: 1, AfterEvents: 8}},
 		Observer: rec,
 	})
 	if err != nil {

@@ -92,7 +92,6 @@ type Proc struct {
 	instances map[int]int
 
 	steps      int
-	maxSteps   int
 	events     int
 	failAfter  int // fail when events reaches this count; <0 = never
 	midRecv    bool
@@ -114,9 +113,6 @@ type Proc struct {
 	// stashed so record can attach it to the checkpoint's observer event
 	// (live telemetry derives save-latency percentiles from it).
 	lastSaveNS int64
-	// wallNow is the wall-clock source for duration measurements
-	// (Config.WallClock; nil means time.Now).
-	wallNow func() stdtime.Time
 
 	// jitter, when set, yields the goroutine randomly at instruction
 	// boundaries to diversify real-time interleavings (Config.Jitter).
@@ -134,7 +130,7 @@ type Proc struct {
 // newProc builds a fresh process at the program start.
 func newProc(rank int, code *Code, net *Network, tr *trace.Trace, st storage.Store,
 	counters *metrics.Counters, hooks Hooks, input func(rank, i int) int,
-	maxSteps, failAfter int, time *TimeModel, vfailAt float64,
+	failAfter int, time *TimeModel, vfailAt float64,
 	obsv obs.Observer, inc int) *Proc {
 	n := net.N()
 	p := &Proc{
@@ -152,7 +148,6 @@ func newProc(rank int, code *Code, net *Network, tr *trace.Trace, st storage.Sto
 		sendSeq:   make([]int, n),
 		recvSeq:   make([]int, n),
 		instances: make(map[int]int),
-		maxSteps:  maxSteps,
 		failAfter: failAfter,
 		time:      time,
 		vfailAt:   vfailAt,
@@ -164,15 +159,6 @@ func newProc(rank int, code *Code, net *Network, tr *trace.Trace, st storage.Sto
 	}
 	p.env = mpl.NewEnv(code.Prog, rank, n, inputFn)
 	return p
-}
-
-// now reads the process's wall-clock source (Config.WallClock pin, or the
-// real clock).
-func (p *Proc) now() stdtime.Time {
-	if p.wallNow != nil {
-		return p.wallNow()
-	}
-	return stdtime.Now()
 }
 
 // Rank returns the process id.
@@ -368,7 +354,7 @@ func (p *Proc) takeCheckpoint(idx int, manifest []string) error {
 		VTime:     p.vtime,
 		Manifest:  manifest,
 	}
-	saveStart := p.now()
+	saveStart := stdtime.Now()
 	if err := p.store.Save(snap); err != nil {
 		if errors.Is(err, storage.ErrTransient) || errors.Is(err, storage.ErrFsync) {
 			// The save exhausted its retries, or an fsync failed — which is
@@ -384,7 +370,7 @@ func (p *Proc) takeCheckpoint(idx int, manifest []string) error {
 		}
 		return err
 	}
-	p.lastSaveNS = p.now().Sub(saveStart).Nanoseconds()
+	p.lastSaveNS = stdtime.Since(saveStart).Nanoseconds()
 	p.counters.ObserveHist(HistChkptSaveMS, float64(p.lastSaveNS)/1e6)
 	p.counters.IncCheckpoints(1)
 	p.counters.SetGauge(GaugeLastSaveVPrefix+strconv.Itoa(p.rank), p.vtime)
@@ -425,7 +411,7 @@ func (p *Proc) SendMarker(to int, tag string, payload []int) error {
 // observer — protocol coordination cost is precisely what the paper's
 // scheme eliminates, so the runtime makes it visible.
 func (p *Proc) RecvCtrl() (Message, error) {
-	start := p.now()
+	start := stdtime.Now()
 	v0 := p.vtime
 	m, err := p.net.RecvCtrl(p.rank)
 	if err != nil {
@@ -434,7 +420,7 @@ func (p *Proc) RecvCtrl() (Message, error) {
 	if err := p.syncTo(m.ArriveV); err != nil {
 		return Message{}, err
 	}
-	blocked := p.now().Sub(start)
+	blocked := stdtime.Since(start)
 	p.counters.AddBlocked(blocked)
 	p.counters.ObserveHist(HistBlockedWallMS, float64(blocked.Nanoseconds())/1e6)
 	if p.time != nil {
@@ -468,7 +454,7 @@ func (p *Proc) pollHorizon() float64 {
 // run executes the program until halt, failure, or abort.
 func (p *Proc) run() error {
 	for {
-		if p.steps >= p.maxSteps {
+		if p.steps >= maxSteps {
 			return fmt.Errorf("%w: process %d after %d steps", ErrStepBudget, p.rank, p.steps)
 		}
 		p.steps++

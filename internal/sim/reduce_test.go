@@ -90,7 +90,7 @@ func TestAllReduceSurvivesFailure(t *testing.T) {
 	p := corpus.AllReduce(3)
 	clean := runOK(t, p, 4)
 	failed := runOK(t, p, 4, func(c *Config) {
-		c.Failures = []Failure{{Proc: 0, AfterEvents: 15}} // the reduce root itself
+		c.Crashes = []Crash{{Proc: 0, AfterEvents: 15}} // the reduce root itself
 	})
 	if failed.Restarts != 1 {
 		t.Fatalf("restarts = %d", failed.Restarts)

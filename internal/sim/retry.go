@@ -26,8 +26,10 @@ const (
 	// the operation gave up early so a fleet-wide brownout does not
 	// multiply into a retry storm.
 	MetricStoreRetryDenied = "storage_retry_budget_denied"
-	// MetricRecoveryDegraded accumulates recovery.Line.Degraded: candidate
-	// recovery cuts skipped because their snapshots would not load.
+	// MetricRecoveryDegraded accumulates recovery.Line.Degraded (or
+	// recovery.DegradedError.Degraded when no candidate loaded at all):
+	// candidate recovery cuts skipped because their snapshots would not
+	// load.
 	MetricRecoveryDegraded = "recovery_degraded"
 	// MetricScrubQuarantined counts snapshots quarantined by pre-rollback
 	// scrub passes.
@@ -60,13 +62,13 @@ type RetryBudget interface {
 	AllowRetry(op string) bool
 }
 
-// RetryPolicy is the tunable shape of the storage retry layer: how many
-// attempts a transiently-failing operation gets, how the backoff between
-// them grows, how much seeded jitter decorrelates concurrent retries, and
-// (optionally) a shared budget that may cut retries short. The zero value
-// selects the defaults the runtime has always used (6 attempts, 1ms base
-// doubling to a 50ms cap, ±50% jitter, no budget).
-type RetryPolicy struct {
+// retryPolicy is the shape of the storage retry layer: how many attempts a
+// transiently-failing operation gets, how the backoff between them grows,
+// how much seeded jitter decorrelates concurrent retries, and (optionally)
+// a shared budget that may cut retries short. The runtime uses the zero
+// value plus Config.RetryBudget, which selects the defaults (6 attempts,
+// 1ms base doubling to a 50ms cap, ±50% jitter); tests shrink the rest.
+type retryPolicy struct {
 	// MaxAttempts bounds total tries per operation (first try included).
 	// <= 0 selects the default (6); 1 disables retry.
 	MaxAttempts int
@@ -84,7 +86,7 @@ type RetryPolicy struct {
 }
 
 // withDefaults resolves zero fields to the documented defaults.
-func (p RetryPolicy) withDefaults() RetryPolicy {
+func (p retryPolicy) withDefaults() retryPolicy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = defaultStoreAttempts
 	}
@@ -103,11 +105,10 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// Backoff returns the pre-jitter delay before retry attempt `retry`
-// (1-based: Backoff(1) precedes the first retry): BaseDelay doubled per
-// step, capped at MaxDelay. Exposed so tests and capacity models can audit
-// the exact schedule a policy produces.
-func (p RetryPolicy) Backoff(retry int) stdtime.Duration {
+// backoff returns the pre-jitter delay before retry attempt `retry`
+// (1-based: backoff(1) precedes the first retry): BaseDelay doubled per
+// step, capped at MaxDelay.
+func (p retryPolicy) backoff(retry int) stdtime.Duration {
 	p = p.withDefaults()
 	d := p.BaseDelay
 	for i := 1; i < retry; i++ {
@@ -130,7 +131,7 @@ func (p RetryPolicy) Backoff(retry int) stdtime.Duration {
 // handles them by degrading.
 type retryStore struct {
 	inner    storage.Store
-	policy   RetryPolicy
+	policy   retryPolicy
 	counters *metrics.Counters
 	obsv     obs.Observer
 
@@ -143,7 +144,7 @@ var _ storage.Store = (*retryStore)(nil)
 // newRetryStore wraps inner under the given policy (zero fields take
 // defaults). The seed only perturbs backoff jitter (wall time), never
 // results.
-func newRetryStore(inner storage.Store, policy RetryPolicy, seed int64, counters *metrics.Counters, obsv obs.Observer) *retryStore {
+func newRetryStore(inner storage.Store, policy retryPolicy, seed int64, counters *metrics.Counters, obsv obs.Observer) *retryStore {
 	return &retryStore{
 		inner:    inner,
 		policy:   policy.withDefaults(),
@@ -171,7 +172,7 @@ func (r *retryStore) do(op string, f func() error) error {
 					Tag: op, Label: err.Error(),
 				})
 			}
-			stdtime.Sleep(r.jittered(r.policy.Backoff(attempt)))
+			stdtime.Sleep(r.jittered(r.policy.backoff(attempt)))
 		}
 		err = f()
 		if err == nil || !errors.Is(err, storage.ErrTransient) {

@@ -15,28 +15,28 @@ import (
 func TestRetryPolicyDefaults(t *testing.T) {
 	tests := []struct {
 		name string
-		in   RetryPolicy
-		want RetryPolicy
+		in   retryPolicy
+		want retryPolicy
 	}{
 		{
 			name: "zero value selects the documented defaults",
-			in:   RetryPolicy{},
-			want: RetryPolicy{MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: 50 * time.Millisecond, JitterFrac: 0.5},
+			in:   retryPolicy{},
+			want: retryPolicy{MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: 50 * time.Millisecond, JitterFrac: 0.5},
 		},
 		{
 			name: "negative fields also select defaults",
-			in:   RetryPolicy{MaxAttempts: -1, BaseDelay: -time.Second, MaxDelay: -time.Second},
-			want: RetryPolicy{MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: 50 * time.Millisecond, JitterFrac: 0.5},
+			in:   retryPolicy{MaxAttempts: -1, BaseDelay: -time.Second, MaxDelay: -time.Second},
+			want: retryPolicy{MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: 50 * time.Millisecond, JitterFrac: 0.5},
 		},
 		{
 			name: "negative jitter disables jitter",
-			in:   RetryPolicy{JitterFrac: -1},
-			want: RetryPolicy{MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: 50 * time.Millisecond, JitterFrac: 0},
+			in:   retryPolicy{JitterFrac: -1},
+			want: retryPolicy{MaxAttempts: 6, BaseDelay: time.Millisecond, MaxDelay: 50 * time.Millisecond, JitterFrac: 0},
 		},
 		{
 			name: "explicit fields survive",
-			in:   RetryPolicy{MaxAttempts: 2, BaseDelay: 3 * time.Millisecond, MaxDelay: 9 * time.Millisecond, JitterFrac: 0.25},
-			want: RetryPolicy{MaxAttempts: 2, BaseDelay: 3 * time.Millisecond, MaxDelay: 9 * time.Millisecond, JitterFrac: 0.25},
+			in:   retryPolicy{MaxAttempts: 2, BaseDelay: 3 * time.Millisecond, MaxDelay: 9 * time.Millisecond, JitterFrac: 0.25},
+			want: retryPolicy{MaxAttempts: 2, BaseDelay: 3 * time.Millisecond, MaxDelay: 9 * time.Millisecond, JitterFrac: 0.25},
 		},
 	}
 	for _, tt := range tests {
@@ -53,23 +53,23 @@ func TestRetryPolicyDefaults(t *testing.T) {
 func TestRetryPolicyBackoffSchedule(t *testing.T) {
 	tests := []struct {
 		name   string
-		policy RetryPolicy
+		policy retryPolicy
 		retry  int
 		want   time.Duration
 	}{
-		{"default first retry", RetryPolicy{}, 1, time.Millisecond},
-		{"default doubles", RetryPolicy{}, 2, 2 * time.Millisecond},
-		{"default keeps doubling", RetryPolicy{}, 5, 16 * time.Millisecond},
-		{"default hits cap", RetryPolicy{}, 7, 50 * time.Millisecond},
-		{"default stays at cap", RetryPolicy{}, 100, 50 * time.Millisecond},
-		{"custom base", RetryPolicy{BaseDelay: 4 * time.Millisecond}, 2, 8 * time.Millisecond},
-		{"custom cap clamps", RetryPolicy{BaseDelay: 4 * time.Millisecond, MaxDelay: 5 * time.Millisecond}, 2, 5 * time.Millisecond},
-		{"base above cap clamps immediately", RetryPolicy{BaseDelay: time.Second, MaxDelay: 10 * time.Millisecond}, 1, 10 * time.Millisecond},
+		{"default first retry", retryPolicy{}, 1, time.Millisecond},
+		{"default doubles", retryPolicy{}, 2, 2 * time.Millisecond},
+		{"default keeps doubling", retryPolicy{}, 5, 16 * time.Millisecond},
+		{"default hits cap", retryPolicy{}, 7, 50 * time.Millisecond},
+		{"default stays at cap", retryPolicy{}, 100, 50 * time.Millisecond},
+		{"custom base", retryPolicy{BaseDelay: 4 * time.Millisecond}, 2, 8 * time.Millisecond},
+		{"custom cap clamps", retryPolicy{BaseDelay: 4 * time.Millisecond, MaxDelay: 5 * time.Millisecond}, 2, 5 * time.Millisecond},
+		{"base above cap clamps immediately", retryPolicy{BaseDelay: time.Second, MaxDelay: 10 * time.Millisecond}, 1, 10 * time.Millisecond},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.policy.Backoff(tt.retry); got != tt.want {
-				t.Errorf("Backoff(%d) = %v, want %v", tt.retry, got, tt.want)
+			if got := tt.policy.backoff(tt.retry); got != tt.want {
+				t.Errorf("backoff(%d) = %v, want %v", tt.retry, got, tt.want)
 			}
 		})
 	}
@@ -81,7 +81,7 @@ func TestRetryStoreHonorsAttemptCap(t *testing.T) {
 			var calls atomic.Int64
 			st := &countingTransient{calls: &calls}
 			c := &metrics.Counters{}
-			rst := newRetryStore(st, RetryPolicy{
+			rst := newRetryStore(st, retryPolicy{
 				MaxAttempts: attempts,
 				BaseDelay:   time.Microsecond,
 				MaxDelay:    time.Microsecond,
@@ -118,7 +118,7 @@ func TestRetryBudgetDenialStopsRetrying(t *testing.T) {
 	budget := &fixedBudget{}
 	budget.left.Store(2)
 	c := &metrics.Counters{}
-	rst := newRetryStore(st, RetryPolicy{
+	rst := newRetryStore(st, retryPolicy{
 		MaxAttempts: 10,
 		BaseDelay:   time.Microsecond,
 		MaxDelay:    time.Microsecond,
@@ -148,7 +148,7 @@ func TestRetryBudgetDenialStopsRetrying(t *testing.T) {
 func TestRetryBudgetNotChargedOnSuccess(t *testing.T) {
 	budget := &fixedBudget{}
 	budget.left.Store(100)
-	rst := newRetryStore(storage.NewMemory(), RetryPolicy{Budget: budget}, 1, &metrics.Counters{}, nil)
+	rst := newRetryStore(storage.NewMemory(), retryPolicy{Budget: budget}, 1, &metrics.Counters{}, nil)
 	if err := rst.Save(storage.Snapshot{Proc: 0, CFGIndex: 1, Instance: 1, Clock: vclock.VC{1}}); err != nil {
 		t.Fatalf("Save: %v", err)
 	}

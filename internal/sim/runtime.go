@@ -16,34 +16,24 @@ import (
 	"repro/internal/trace"
 )
 
-// Failure schedules an injected crash: in the incarnation it applies to,
-// process Proc fails after recording AfterEvents local events. The
-// runtime then aborts the incarnation, chooses a recovery line, rolls the
-// whole application back, and resumes — the global-restart model of the
-// paper's coordination-free scheme.
-type Failure struct {
-	Proc        int
-	AfterEvents int
-}
-
-// Crash schedules an injected crash addressed by incarnation. Unlike the
-// positional Failures list (one entry per incarnation), Crashes can name
-// several processes in the same incarnation — concurrent failures — and
-// target incarnations k >= 1 without padding — failures that strike while
-// the application is still replaying from a recovery line.
+// Crash schedules an injected crash: during incarnation Inc, process Proc
+// fails after recording AfterEvents local events or, when At > 0, when its
+// virtual clock reaches At (requires Config.Time). The runtime then aborts
+// the incarnation, chooses a recovery line, rolls the whole application
+// back, and resumes — the global-restart model of the paper's
+// coordination-free scheme. Several crashes may name the same incarnation
+// (concurrent failures), and Inc >= 1 strikes while the application is
+// still replaying from a recovery line.
 type Crash struct {
 	Inc         int // incarnation the crash applies to
 	Proc        int
 	AfterEvents int
+	At          float64 // virtual-time trigger; 0 selects AfterEvents
 }
 
-// VCrash is Crash in virtual time: process Proc fails when its virtual
-// clock reaches At during incarnation Inc (requires Config.Time).
-type VCrash struct {
-	Inc  int
-	Proc int
-	At   float64
-}
+// maxSteps bounds each process's instruction count per incarnation, so a
+// runaway loop fails the run instead of spinning forever.
+const maxSteps = 1 << 20
 
 // ErrCanceled reports a run stopped early because Config.Cancel closed.
 // The store still holds every checkpoint saved so far: the job is parked,
@@ -68,41 +58,24 @@ type Config struct {
 	// Input supplies input(i) data per process; nil makes input(...) an
 	// error.
 	Input func(rank, i int) int
-	// MaxSteps bounds each process's instruction count per incarnation
-	// (default 1 << 20).
-	MaxSteps int
-	// Failures[k] is injected during incarnation k. Incarnations beyond the
-	// list run failure-free.
-	Failures []Failure
 	// Time enables virtual-time accounting with the given cost model.
 	Time *TimeModel
-	// VFailures[k] crashes a process when its virtual clock reaches the
-	// given time during incarnation k (requires Time).
-	VFailures []VFailure
-	// Crashes schedules additional crashes by (incarnation, process); see
-	// Crash. When several triggers name the same process in the same
-	// incarnation, the earliest event count wins.
+	// Crashes schedules injected crashes by (incarnation, process); see
+	// Crash. When several triggers of one kind name the same process in
+	// the same incarnation, the earliest wins.
 	Crashes []Crash
-	// VCrashes schedules additional virtual-time crashes by incarnation
-	// (requires Time); the earliest time wins on collision.
-	VCrashes []VCrash
 	// MaxRestarts bounds recovery attempts (default: one more than the
-	// total number of scheduled failures).
+	// number of scheduled crashes).
 	MaxRestarts int
-	// MaxStoreAttempts bounds the attempts per stable-storage operation
-	// when the store reports transient faults (storage.ErrTransient);
-	// attempts back off exponentially with jitter. 0 selects the default
-	// (6); 1 disables retry. A checkpoint save that exhausts its attempts
-	// crashes the saving process, turning a storage outage into an
-	// ordinary recovery instead of a failed run. Shorthand for
-	// Retry.MaxAttempts; ignored when Retry is set.
-	MaxStoreAttempts int
-	// Retry, when non-nil, fully specifies the storage retry layer —
-	// attempt cap, backoff shape, jitter, and an optional shared
-	// RetryBudget (fleet drivers use the budget to bound retries across
-	// many concurrent jobs). Nil falls back to MaxStoreAttempts with
-	// default backoff.
-	Retry *RetryPolicy
+	// RetryBudget, when non-nil, is consulted before every retry of a
+	// stable-storage operation that failed transiently
+	// (storage.ErrTransient); a denial stops retrying at once. Retries
+	// otherwise back off exponentially with jitter, up to six attempts. A
+	// checkpoint save that exhausts its attempts crashes the saving
+	// process, turning a storage outage into an ordinary recovery instead
+	// of a failed run. Fleet drivers share one budget per tenant to bound
+	// retries across many concurrent jobs.
+	RetryBudget RetryBudget
 	// Cancel, when non-nil, requests early termination when closed: the
 	// run stops at the next incarnation boundary — or aborts the current
 	// incarnation mid-flight — and returns ErrCanceled. Checkpoints
@@ -143,12 +116,6 @@ type Config struct {
 	// results of deterministic programs must not change — which is exactly
 	// what schedule-sweep tests assert. 0 disables jitter.
 	Jitter int64
-	// WallClock overrides the wall-clock source used for duration
-	// measurements (checkpoint save latency, blocked time). Nil means
-	// time.Now. Determinism hook: golden tests pin it to a constant so
-	// measured durations — which otherwise vary run to run — stay zero in
-	// the canonical event stream.
-	WallClock func() time.Time
 	// NoPrune disables liveness-minimized checkpoint payloads: application
 	// checkpoints persist the full variable environment instead of the
 	// per-site live-set manifest, reproducing pre-pruning byte counts. The
@@ -196,33 +163,12 @@ func Run(cfg Config) (*Result, error) {
 	if st == nil {
 		st = storage.NewMemory()
 	}
-	maxSteps := cfg.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = 1 << 20
-	}
 	maxRestarts := cfg.MaxRestarts
 	if maxRestarts <= 0 {
-		maxRestarts = len(cfg.Failures) + len(cfg.VFailures) +
-			len(cfg.Crashes) + len(cfg.VCrashes) + 1
+		maxRestarts = len(cfg.Crashes) + 1
 	}
-	for _, c := range cfg.Crashes {
-		if c.Proc < 0 || c.Proc >= cfg.Nproc {
-			return nil, fmt.Errorf("sim: crash names process %d of %d", c.Proc, cfg.Nproc)
-		}
-		if c.Inc < 0 {
-			return nil, fmt.Errorf("sim: crash names incarnation %d", c.Inc)
-		}
-	}
-	for _, c := range cfg.VCrashes {
-		if c.Proc < 0 || c.Proc >= cfg.Nproc {
-			return nil, fmt.Errorf("sim: vcrash names process %d of %d", c.Proc, cfg.Nproc)
-		}
-		if c.Inc < 0 {
-			return nil, fmt.Errorf("sim: vcrash names incarnation %d", c.Inc)
-		}
-		if cfg.Time == nil {
-			return nil, errors.New("sim: VCrashes require Config.Time")
-		}
+	if err := validateCrashes(cfg.Crashes, cfg.Nproc, cfg.Time); err != nil {
+		return nil, err
 	}
 	chooseLine := cfg.Recover
 	if chooseLine == nil {
@@ -249,11 +195,7 @@ func Run(cfg Config) (*Result, error) {
 	// Every runtime access to stable storage goes through the retry
 	// wrapper; Result.Store and Scrub still see the caller's store
 	// directly. The seed only perturbs backoff jitter, never results.
-	policy := RetryPolicy{MaxAttempts: cfg.MaxStoreAttempts}
-	if cfg.Retry != nil {
-		policy = *cfg.Retry
-	}
-	rst := newRetryStore(st, policy, cfg.Jitter+0x5bd1e995, counters, cfg.Observer)
+	rst := newRetryStore(st, retryPolicy{Budget: cfg.RetryBudget}, cfg.Jitter+0x5bd1e995, counters, cfg.Observer)
 
 	var line *recovery.Line // nil = start from scratch
 	var restartV float64    // wall (virtual) time at which the restart begins
@@ -269,57 +211,33 @@ func Run(cfg Config) (*Result, error) {
 		if !cfg.DisableTrace {
 			tr = trace.NewTrace(n)
 		}
+		// Arm this incarnation's crashes: -1 disarms a trigger.
 		failAfter := make([]int, n)
 		vfailAt := make([]float64, n)
 		for p := range failAfter {
 			failAfter[p] = -1
 			vfailAt[p] = -1
 		}
-		if incarnation < len(cfg.Failures) {
-			f := cfg.Failures[incarnation]
-			if f.Proc < 0 || f.Proc >= n {
-				return nil, fmt.Errorf("sim: failure names process %d of %d", f.Proc, n)
-			}
-			failAfter[f.Proc] = f.AfterEvents
-		}
-		if incarnation < len(cfg.VFailures) {
-			f := cfg.VFailures[incarnation]
-			if f.Proc < 0 || f.Proc >= n {
-				return nil, fmt.Errorf("sim: vfailure names process %d of %d", f.Proc, n)
-			}
-			if cfg.Time == nil {
-				return nil, errors.New("sim: VFailures require Config.Time")
-			}
-			vfailAt[f.Proc] = f.At
-		}
 		for _, c := range cfg.Crashes {
-			if c.Inc != incarnation {
-				continue
-			}
-			if failAfter[c.Proc] < 0 || c.AfterEvents < failAfter[c.Proc] {
+			switch {
+			case c.Inc != incarnation:
+			case c.At > 0:
+				if vfailAt[c.Proc] < 0 || c.At < vfailAt[c.Proc] {
+					vfailAt[c.Proc] = c.At
+				}
+			case failAfter[c.Proc] < 0 || c.AfterEvents < failAfter[c.Proc]:
 				failAfter[c.Proc] = c.AfterEvents
-			}
-		}
-		for _, c := range cfg.VCrashes {
-			if c.Inc != incarnation {
-				continue
-			}
-			if vfailAt[c.Proc] < 0 || c.At < vfailAt[c.Proc] {
-				vfailAt[c.Proc] = c.At
 			}
 		}
 
 		procs := make([]*Proc, n)
 		for r := 0; r < n; r++ {
 			procs[r] = newProc(r, code, net, tr, rst, counters, hooksFactory(r, n),
-				cfg.Input, maxSteps, failAfter[r], cfg.Time, vfailAt[r],
+				cfg.Input, failAfter[r], cfg.Time, vfailAt[r],
 				cfg.Observer, incarnation)
 			procs[r].noPrune = cfg.NoPrune
 			if cfg.Jitter != 0 {
 				procs[r].jitter = rand.New(rand.NewSource(cfg.Jitter + int64(r)*7919 + int64(incarnation)))
-			}
-			if cfg.WallClock != nil {
-				procs[r].wallNow = cfg.WallClock
 			}
 			if line != nil {
 				if err := procs[r].restore(line.Snapshots[r]); err != nil {
@@ -470,11 +388,17 @@ func Run(cfg Config) (*Result, error) {
 		// namespace, so the replay can regenerate them without tripping
 		// over duplicates.
 		line, err = chooseLine(rst, n)
+		degraded := 0
+		var bottom *recovery.DegradedError
 		switch {
+		case errors.As(err, &bottom):
+			line, degraded = nil, bottom.Degraded // every candidate failed: restart from scratch
 		case errors.Is(err, recovery.ErrNoRecoveryLine):
 			line = nil // restart from scratch
 		case err != nil:
 			return nil, err
+		default:
+			degraded = line.Degraded
 		}
 		if scr, ok := st.(storage.Scrubber); ok {
 			rep, err := scr.Scrub()
@@ -491,12 +415,12 @@ func Run(cfg Config) (*Result, error) {
 				}
 			}
 		}
-		if line != nil && line.Degraded > 0 {
-			counters.Inc(MetricRecoveryDegraded, line.Degraded)
+		if degraded > 0 {
+			counters.Inc(MetricRecoveryDegraded, degraded)
 			if cfg.Observer != nil {
 				cfg.Observer.OnEvent(obs.Event{
 					Kind: obs.KindDegraded, Proc: -1, Inc: incarnation,
-					Label: fmt.Sprintf("recovery skipped %d candidate cut(s)", line.Degraded),
+					Label: fmt.Sprintf("recovery skipped %d candidate cut(s)", degraded),
 				})
 			}
 		}
@@ -528,6 +452,25 @@ func Run(cfg Config) (*Result, error) {
 			net.ResetForRecovery(zero, zero)
 		}
 	}
+}
+
+// validateCrashes rejects a crash schedule Run cannot arm.
+func validateCrashes(crashes []Crash, n int, tm *TimeModel) error {
+	for _, c := range crashes {
+		switch {
+		case c.Proc < 0 || c.Proc >= n:
+			return fmt.Errorf("sim: crash names process %d of %d", c.Proc, n)
+		case c.Inc < 0:
+			return fmt.Errorf("sim: crash names incarnation %d", c.Inc)
+		case c.AfterEvents < 0 || c.At < 0:
+			return fmt.Errorf("sim: crash %+v has a negative trigger", c)
+		case c.At > 0 && c.AfterEvents != 0:
+			return fmt.Errorf("sim: crash %+v sets both At and AfterEvents", c)
+		case c.At > 0 && tm == nil:
+			return errors.New("sim: crash At requires Config.Time")
+		}
+	}
+	return nil
 }
 
 // seqMatrices extracts the per-channel send/receive sequence numbers at

@@ -14,6 +14,17 @@ import (
 	"repro/internal/trace"
 )
 
+// TestConfigFieldCount is a ratchet on the size of Config. Lower the pin
+// when a field goes away; raising it needs a non-test caller for the new
+// knob.
+func TestConfigFieldCount(t *testing.T) {
+	const want = 18
+	if got := reflect.TypeOf(Config{}).NumField(); got != want {
+		t.Fatalf("sim.Config has %d fields, pinned at %d: ROADMAP rule — no sim.Config knob that only a test uses; "+
+			"a new knob needs a non-test caller, and a removed one lowers this pin", got, want)
+	}
+}
+
 // runOK runs a program with the application-driven scheme and fails the
 // test on error.
 func runOK(t *testing.T, p *mpl.Program, n int, extra ...func(*Config)) *Result {
@@ -112,7 +123,7 @@ func TestFailureRecoveryPreservesResult(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			clean := runOK(t, tc.prog, tc.n)
 			failed := runOK(t, tc.prog, tc.n, func(c *Config) {
-				c.Failures = []Failure{{Proc: 1, AfterEvents: 8}}
+				c.Crashes = []Crash{{Proc: 1, AfterEvents: 8}}
 			})
 			if failed.Restarts != 1 {
 				t.Fatalf("restarts = %d, want 1", failed.Restarts)
@@ -135,7 +146,7 @@ func TestTransformedFig2SurvivesFailures(t *testing.T) {
 	// consistent straight cut (Theorem 3.2 at runtime).
 	for _, after := range []int{5, 15, 30, 50} {
 		failed := runOK(t, rep.Program, 4, func(c *Config) {
-			c.Failures = []Failure{{Proc: 2, AfterEvents: after}}
+			c.Crashes = []Crash{{Proc: 2, AfterEvents: after}}
 		})
 		if !reflect.DeepEqual(clean.FinalVars, failed.FinalVars) {
 			t.Errorf("after=%d: diverged: %v vs %v", after, clean.FinalVars, failed.FinalVars)
@@ -148,10 +159,10 @@ func TestUntransformedFig2RecoveryIsInconsistent(t *testing.T) {
 	// NOT a recovery line; the recovery layer must detect and report it.
 	p := corpus.JacobiFig2(4)
 	_, err := Run(Config{
-		Program:  p,
-		Nproc:    4,
-		Failures: []Failure{{Proc: 1, AfterEvents: 40}},
-		Timeout:  20 * time.Second,
+		Program: p,
+		Nproc:   4,
+		Crashes: []Crash{{Proc: 1, AfterEvents: 40}},
+		Timeout: 20 * time.Second,
 	})
 	if err == nil {
 		t.Skip("failure hit before checkpoints diverged; nothing to detect")
@@ -165,7 +176,7 @@ func TestFailureBeforeAnyCheckpointRestartsFromScratch(t *testing.T) {
 	p := corpus.JacobiFig1(3)
 	clean := runOK(t, p, 3)
 	failed := runOK(t, p, 3, func(c *Config) {
-		c.Failures = []Failure{{Proc: 0, AfterEvents: 1}} // before first chkpt
+		c.Crashes = []Crash{{Proc: 0, AfterEvents: 1}} // before first chkpt
 	})
 	if failed.Restarts != 1 {
 		t.Fatalf("restarts = %d", failed.Restarts)
@@ -179,10 +190,10 @@ func TestMultipleFailures(t *testing.T) {
 	p := corpus.JacobiFig1(5)
 	clean := runOK(t, p, 4)
 	failed := runOK(t, p, 4, func(c *Config) {
-		c.Failures = []Failure{
-			{Proc: 0, AfterEvents: 12},
-			{Proc: 3, AfterEvents: 6},
-			{Proc: 1, AfterEvents: 4},
+		c.Crashes = []Crash{
+			{Inc: 0, Proc: 0, AfterEvents: 12},
+			{Inc: 1, Proc: 3, AfterEvents: 6},
+			{Inc: 2, Proc: 1, AfterEvents: 4},
 		}
 	})
 	if failed.Restarts < 2 {
@@ -331,8 +342,8 @@ func TestPropertyTransformedRandomProgramsSafe(t *testing.T) {
 			// Failure injection must reproduce the clean result.
 			failed, err := Run(Config{
 				Program: rep.Program, Nproc: n, Input: input,
-				Failures: []Failure{{Proc: seedProc(seed, n), AfterEvents: 12}},
-				Timeout:  20 * time.Second,
+				Crashes: []Crash{{Proc: seedProc(seed, n), AfterEvents: 12}},
+				Timeout: 20 * time.Second,
 			})
 			if err != nil {
 				t.Fatalf("seed %d n=%d failure run: %v\n%s",
@@ -363,7 +374,7 @@ func BenchmarkRunWithFailure(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, err := Run(Config{
 			Program: p, Nproc: 4, DisableTrace: true,
-			Failures: []Failure{{Proc: 1, AfterEvents: 20}},
+			Crashes: []Crash{{Proc: 1, AfterEvents: 20}},
 		})
 		if err != nil {
 			b.Fatal(err)

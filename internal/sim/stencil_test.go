@@ -67,7 +67,7 @@ func TestStencilSkewedViolatesThenRepairs(t *testing.T) {
 	clean := runOK(t, rep.Program, 9)
 	checkStraightCuts(t, clean.Trace, true)
 	crashed := runOK(t, rep.Program, 9, func(c *Config) {
-		c.Failures = []Failure{{Proc: 4, AfterEvents: 30}}
+		c.Crashes = []Crash{{Proc: 4, AfterEvents: 30}}
 	})
 	if crashed.Restarts != 1 {
 		t.Fatalf("restarts = %d", crashed.Restarts)

@@ -43,14 +43,6 @@ var PaperTimeModel = TimeModel{
 	Recovery:           3.32,
 }
 
-// VFailure schedules a crash in virtual time: the process fails when its
-// virtual clock reaches At. Like Failures, entry k applies to
-// incarnation k.
-type VFailure struct {
-	Proc int
-	At   float64
-}
-
 // advance adds d to the process clock and applies the virtual-time failure
 // trigger.
 func (p *Proc) advance(d float64) error {

@@ -145,11 +145,11 @@ func TestVFailureTriggersRecoveryAndPaysForIt(t *testing.T) {
 		t.Fatal(err)
 	}
 	failed, err := Run(Config{
-		Program:   p,
-		Nproc:     3,
-		Time:      tm,
-		VFailures: []VFailure{{Proc: 1, At: clean.VTime / 2}},
-		Timeout:   10 * time.Second,
+		Program: p,
+		Nproc:   3,
+		Time:    tm,
+		Crashes: []Crash{{Proc: 1, At: clean.VTime / 2}},
+		Timeout: 10 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -165,18 +165,6 @@ func TestVFailureTriggersRecoveryAndPaysForIt(t *testing.T) {
 	if failed.VTime < clean.VTime+tm.Recovery {
 		t.Errorf("failed VTime = %v, want >= clean %v + R %v",
 			failed.VTime, clean.VTime, tm.Recovery)
-	}
-}
-
-func TestVFailureRequiresTimeModel(t *testing.T) {
-	_, err := Run(Config{
-		Program:   corpus.JacobiFig1(1),
-		Nproc:     2,
-		VFailures: []VFailure{{Proc: 0, At: 1}},
-		Timeout:   5 * time.Second,
-	})
-	if err == nil {
-		t.Fatal("VFailures without Time accepted")
 	}
 }
 

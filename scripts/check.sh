@@ -22,6 +22,12 @@ go build ./...
 echo '>> go test -race ./...'
 go test -race ./...
 
+# perfbench is a module of its own (replace repro => ../), so the root
+# build never compiles it: vet and test it here so a sim API change cannot
+# break the benchmark silently.
+echo '>> perfbench module (go vet + go test)'
+(cd perfbench && go vet ./... && go test ./...)
+
 echo '>> straight-cut theorem harness (make verify)'
 make verify
 

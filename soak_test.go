@@ -67,9 +67,9 @@ func TestSoakTransformedRandomPrograms(t *testing.T) {
 			for _, after := range []int{7, 19} {
 				crashed, err := sim.Run(sim.Config{
 					Program: rep.Program, Nproc: n, Input: input,
-					Failures: []sim.Failure{{Proc: int(seed+int64(after)) % n, AfterEvents: after}},
-					Jitter:   seed + int64(after),
-					Timeout:  20 * time.Second,
+					Crashes: []sim.Crash{{Proc: int(seed+int64(after)) % n, AfterEvents: after}},
+					Jitter:  seed + int64(after),
+					Timeout: 20 * time.Second,
 				})
 				if err != nil {
 					t.Fatalf("seed %d n=%d after=%d: %v", seed, n, after, err)
